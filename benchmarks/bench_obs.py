@@ -48,9 +48,15 @@ from repro.nn.zoo import ZOO
 WORKLOAD_SEED = 2025
 
 #: Tracer touch points one request pays on the disabled path, counted
-#: from the instrumentation sites in service.py (root start, synth
-#: scope, execute start, plus the per-request share of batch spans) and
-#: procpool.py — deliberately rounded *up* so the gate overstates cost.
+#: from the instrumentation sites of the one request core,
+#: ``serve/workers.py:serve_request`` — bundle.resolve start and its
+#: end guard, input.synthesize scope, execute start and its end guard
+#: (5) — plus its callers: the service's request start and end guard
+#: and its per-batch batch start/end (at most 2 per request), or the
+#: worker process's worker.serve start and end guard plus the plane's
+#: four ``tracer.enabled`` guards (intake, seal, wire form, response).
+#: The larger, the plane's 11, is rounded *up* so the gate overstates
+#: cost.
 DISABLED_CALLS_PER_REQUEST = 12
 
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from repro.cluster.admission import SloPolicy
 from repro.cluster.autoscaler import ScaleEvent
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, counter_property
 from repro.obs.stats import LatencySummary
 from repro.serve.metrics import ServiceMetrics
 
@@ -78,18 +78,6 @@ class ReplicaUsage:
         }
 
 
-def _int_counter(metric: str) -> property:
-    """Registry-backed int attribute (same facade as ServiceMetrics)."""
-
-    def fget(self) -> int:
-        return int(self.registry.counter(metric).value)
-
-    def fset(self, value) -> None:
-        self.registry.counter(metric).value = int(value)
-
-    return property(fget, fset)
-
-
 class ClusterMetrics:
     """Counters accumulated across one fleet-simulation run.
 
@@ -99,14 +87,14 @@ class ClusterMetrics:
     dataclass.
     """
 
-    arrivals = _int_counter("cluster.arrivals")
-    completed = _int_counter("cluster.completed")
+    arrivals = counter_property("cluster.arrivals")
+    completed = counter_property("cluster.completed")
     # executed responses that came back not-ok
-    failures = _int_counter("cluster.failures")
-    rejected = _int_counter("cluster.rejected")
-    resident_hits = _int_counter("cluster.resident.hits")
-    resident_misses = _int_counter("cluster.resident.misses")
-    slo_met = _int_counter("cluster.slo_met")
+    failures = counter_property("cluster.failures")
+    rejected = counter_property("cluster.rejected")
+    resident_hits = counter_property("cluster.resident.hits")
+    resident_misses = counter_property("cluster.resident.misses")
+    slo_met = counter_property("cluster.slo_met")
 
     def __init__(
         self,

@@ -22,8 +22,6 @@ from repro.core.executor import BaremetalExecutor, RunStats
 from repro.core.fastpath import (
     FastPathEstimate,
     FastPathExecutor,
-    FastPathRunRequest,
-    FastPathRunResult,
     ResidentStats,
     calibrate,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "DramArbiter",
     "FastPathEstimate",
     "FastPathExecutor",
-    "FastPathRunRequest",
-    "FastPathRunResult",
     "NvdlaWrapper",
     "OverheadParams",
     "ResidentStats",

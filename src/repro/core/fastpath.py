@@ -59,61 +59,6 @@ from repro.nvdla.timing import TimingParams
 
 
 @dataclass(frozen=True)
-class FastPathRunRequest:
-    """Spawn-safe description of one inference run.
-
-    Everything a worker *process* needs to serve a request, reduced to
-    picklable primitives: no bundle object crosses the process
-    boundary.  The bundle travels as its deployment cache key
-    (``bundle_key``, see
-    :func:`repro.baremetal.pipeline.bundle_cache_key`) and is
-    rehydrated on the far side from the shared
-    :class:`~repro.store.BundleStore` — or recompiled deterministically
-    on a store miss, which yields bit-identical artifacts by
-    construction.
-
-    ``input_seed`` carries the per-request determinism convention of
-    :func:`repro.serve.request.request_rng`: when ``input_image`` is
-    ``None`` for a functional deployment, the executing worker draws
-    the input from ``default_rng(input_seed)``, so the tensor a request
-    receives is independent of which process serves it.
-    """
-
-    request_id: int
-    model: str
-    config: str
-    precision: str
-    fidelity: str = "functional"
-    execution_mode: str = "fast"
-    frequency_hz: float = 100e6
-    memory_bus_width_bits: int = 32
-    flow_seed: int = 2024  # the offline flow's calibration-input seed
-    bundle_key: tuple | None = None
-    input_image: np.ndarray | None = None
-    input_seed: tuple[int, int] | None = None  # (service seed, request id)
-    # Tracing context (trace_id, parent span_id) from Tracer.context():
-    # the worker process parents its spans under the plane's request
-    # span so the trace stitches across the process boundary.
-    trace_ctx: tuple[str, str] | None = None
-
-
-@dataclass(frozen=True)
-class FastPathRunResult:
-    """Picklable outcome of one :class:`FastPathRunRequest`."""
-
-    request_id: int
-    ok: bool
-    output: np.ndarray | None
-    cycles: int
-    sim_seconds: float
-    wall_seconds: float  # host time inside the worker's run()
-    worker_id: int = 0  # in-process worker id within its process
-    # Finished span dicts recorded in the worker process for this
-    # request (empty when tracing is off); the plane ingests them.
-    spans: tuple = ()
-
-
-@dataclass(frozen=True)
 class FastPathEstimate:
     """One bundle's whole-run cycle estimate, term by term."""
 

@@ -146,6 +146,20 @@ class Histogram:
         return hist
 
 
+def counter_property(metric: str, cast: type = int) -> property:
+    """A registry-backed attribute for facades over a ``registry``:
+    ``metrics.requests += 1`` reads and writes counter ``metric``,
+    stored as ``cast`` (``int`` or ``float``)."""
+
+    def fget(self):
+        return cast(self.registry.counter(metric).value)
+
+    def fset(self, value) -> None:
+        self.registry.counter(metric).value = cast(value)
+
+    return property(fget, fset)
+
+
 class MetricsRegistry:
     """Create-on-first-use registry of named instruments.
 

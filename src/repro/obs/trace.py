@@ -15,8 +15,8 @@ Design constraints, in order:
   serving throughput.
 - **cross-process stitching.**  A span's identity is
   ``(trace_id, span_id)`` — :meth:`Tracer.context` reduces it to a
-  picklable tuple that rides on
-  :class:`~repro.core.fastpath.FastPathRunRequest`; the worker process
+  picklable tuple that rides on the serving wire type
+  :class:`~repro.serve.request.FastPathRunRequest`; the worker process
   records children under that parent and ships the finished span dicts
   back on the result, where the parent :meth:`Tracer.ingest`\\ s them.
   Span ids embed the recording process's PID, so two processes can
@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
 
 
 class Span:
@@ -259,20 +258,3 @@ def record_unit_spans(tracer: Tracer, parent: Span, op_records,
             end_cycle=record.end_cycle,
             cycles=record.end_cycle - record.start_cycle,
         )
-
-
-@dataclass
-class BundleResolution:
-    """How a bundle lookup was satisfied, for the resolve span's attrs."""
-
-    source: str  # "memory" | "store" | "compile"
-    attrs: dict = field(default_factory=dict)
-
-
-def classify_resolution(stats_before: dict, stats_after: dict) -> str:
-    """memory/store/compile from a BundleCacheStats to_dict delta."""
-    if stats_after["misses"] == stats_before["misses"]:
-        return "memory"
-    if stats_after["store_hits"] > stats_before["store_hits"]:
-        return "store"
-    return "compile"

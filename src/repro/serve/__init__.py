@@ -16,8 +16,9 @@ bare-metal artefacts on a pool of reusable simulated SoCs.
 - :class:`ServingPlane` / :class:`ProcessWorkerPool` — the
   process-parallel plane: an asyncio request plane (streaming arrivals,
   continuous batching) over spawn-safe worker processes that rehydrate
-  bundles from the persistent store by cache key.  Outputs are
-  bit-identical to the single-process service (see
+  bundles from the persistent store by cache key.  Both front ends run
+  every request through :func:`serve_request`, so outputs are
+  bit-identical to the single-process service (see also
   :func:`~repro.serve.request.request_rng`).
 """
 
@@ -32,6 +33,8 @@ from repro.serve.plane import ServingPlane
 from repro.serve.procpool import ProcessStats, ProcessWorkerPool
 from repro.serve.request import (
     DeploymentSpec,
+    FastPathRunRequest,
+    FastPathRunResult,
     InferenceRequest,
     InferenceResponse,
     make_input,
@@ -46,6 +49,7 @@ from repro.serve.workers import (
     WorkerPool,
     hardware_key,
     pack_input_image,
+    serve_request,
 )
 
 __all__ = [
@@ -54,6 +58,8 @@ __all__ = [
     "BundleCacheStats",
     "DeploymentMetrics",
     "DeploymentSpec",
+    "FastPathRunRequest",
+    "FastPathRunResult",
     "FastPathWorker",
     "InferenceRequest",
     "InferenceResponse",
@@ -72,5 +78,6 @@ __all__ = [
     "pack_input_image",
     "percentile",
     "request_rng",
+    "serve_request",
     "shared_cache",
 ]

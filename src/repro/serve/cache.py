@@ -66,6 +66,33 @@ class BundleCacheStats:
         }
 
 
+def zoo_entry(
+    model: str,
+    config: HardwareConfig | str,
+    precision: Precision = Precision.INT8,
+    fidelity: str = "functional",
+    compile_options: CompileOptions | None = None,
+    codegen_options: CodegenOptions | None = None,
+    seed: int = 2024,
+) -> tuple[tuple, Callable[[], BaremetalBundle]]:
+    """The cache key and build thunk of one zoo-model deployment."""
+    if model not in ZOO:
+        raise ReproError(f"unknown zoo model {model!r} (known: {sorted(ZOO)})")
+    hw = get_config(config) if isinstance(config, str) else config
+    key = bundle_cache_key(
+        model, hw, precision, fidelity, compile_options, codegen_options, seed
+    )
+    return key, lambda: generate_baremetal(
+        ZOO[model](),
+        hw,
+        precision=precision,
+        fidelity=fidelity,
+        compile_options=compile_options,
+        codegen_options=codegen_options,
+        seed=seed,
+    )
+
+
 class BundleCache:
     """LRU cache of built bundles, keyed by deployment."""
 
@@ -85,25 +112,24 @@ class BundleCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
-    def lookup(self, key: tuple) -> BaremetalBundle | None:
-        """Peek without counting a miss (counts a hit when present)."""
-        bundle = self._entries.get(key)
-        if bundle is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-        return bundle
-
-    def get_or_build(
+    def resolve(
         self, key: tuple, build: Callable[[], BaremetalBundle]
-    ) -> BaremetalBundle:
+    ) -> tuple[BaremetalBundle, str]:
+        """The bundle for ``key`` and where it came from.
+
+        The source is ``"memory"``, ``"store"`` or ``"compile"`` — the
+        one place serving learns how a lookup was satisfied.
+        """
         bundle = self._entries.get(key)
         if bundle is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return bundle
+            return bundle, "memory"
         self.stats.misses += 1
+        source = "store"
         bundle = self._fetch_from_store(key)
         if bundle is None:
+            source = "compile"
             self.stats.compiles += 1
             began = time.perf_counter()
             bundle = build()
@@ -113,7 +139,12 @@ class BundleCache:
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
-        return bundle
+        return bundle, source
+
+    def get_or_build(
+        self, key: tuple, build: Callable[[], BaremetalBundle]
+    ) -> BaremetalBundle:
+        return self.resolve(key, build)[0]
 
     def _fetch_from_store(self, key: tuple) -> BaremetalBundle | None:
         """A verified store load, or None — integrity failures recompile."""
@@ -147,25 +178,13 @@ class BundleCache:
         codegen_options: CodegenOptions | None = None,
         seed: int = 2024,
     ) -> BaremetalBundle:
-        """Zoo-model convenience front end over :meth:`get_or_build`."""
-        if model not in ZOO:
-            raise ReproError(f"unknown zoo model {model!r} (known: {sorted(ZOO)})")
-        hw = get_config(config) if isinstance(config, str) else config
-        key = bundle_cache_key(
-            model, hw, precision, fidelity, compile_options, codegen_options, seed
-        )
-        return self.get_or_build(
-            key,
-            lambda: generate_baremetal(
-                ZOO[model](),
-                hw,
-                precision=precision,
-                fidelity=fidelity,
-                compile_options=compile_options,
-                codegen_options=codegen_options,
-                seed=seed,
-            ),
-        )
+        """Zoo-model convenience front end over :meth:`resolve`."""
+        return self.resolve(
+            *zoo_entry(
+                model, config, precision, fidelity, compile_options,
+                codegen_options, seed,
+            )
+        )[0]
 
     def clear(self) -> None:
         self._entries.clear()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricsRegistry, counter_property
 from ..obs.stats import LatencySummary, percentile
 
 __all__ = [
@@ -60,48 +60,26 @@ class DeploymentMetrics:
         }
 
 
-def _int_counter(metric: str, doc: str | None = None) -> property:
-    """Registry-backed int attribute: ``metrics.requests += 1`` works."""
-
-    def fget(self) -> int:
-        return int(self.registry.counter(metric).value)
-
-    def fset(self, value) -> None:
-        self.registry.counter(metric).value = int(value)
-
-    return property(fget, fset, doc=doc)
-
-
-def _float_counter(metric: str, doc: str | None = None) -> property:
-    def fget(self) -> float:
-        return self.registry.counter(metric).value
-
-    def fset(self, value) -> None:
-        self.registry.counter(metric).value = float(value)
-
-    return property(fget, fset, doc=doc)
-
-
 class ServiceMetrics:
     """Counters accumulated across a service lifetime."""
 
-    requests = _int_counter("serve.requests")
-    failures = _int_counter("serve.failures")
-    batches = _int_counter("serve.batches")
+    requests = counter_property("serve.requests")
+    failures = counter_property("serve.failures")
+    batches = counter_property("serve.batches")
     # served from the in-memory cache
-    bundle_hits = _int_counter("serve.bundle.hits")
+    bundle_hits = counter_property("serve.bundle.hits")
     # = bundle_store_hits + bundle_compiles
-    bundle_misses = _int_counter("serve.bundle.misses")
+    bundle_misses = counter_property("serve.bundle.misses")
     # misses satisfied by the persistent store
-    bundle_store_hits = _int_counter("serve.bundle.store_hits")
+    bundle_store_hits = counter_property("serve.bundle.store_hits")
     # misses that paid the full offline flow
-    bundle_compiles = _int_counter("serve.bundle.compiles")
-    workers_created = _int_counter("serve.workers.created")
-    workers_reused = _int_counter("serve.workers.reused")
+    bundle_compiles = counter_property("serve.bundle.compiles")
+    workers_created = counter_property("serve.workers.created")
+    workers_reused = counter_property("serve.workers.reused")
     # busy time inside workers
-    wall_seconds_total = _float_counter("serve.busy.seconds")
+    wall_seconds_total = counter_property("serve.busy.seconds", float)
     # end-to-end serve() time
-    elapsed_seconds = _float_counter("serve.elapsed.seconds")
+    elapsed_seconds = counter_property("serve.elapsed.seconds", float)
 
     def __init__(
         self,
@@ -164,6 +142,18 @@ class ServiceMetrics:
             slice_.wall_seconds += wall_seconds
             slice_.wall_latencies.append(wall_seconds)
             slice_.cycle_latencies.append(float(cycles))
+
+    def record_resolution(self, source: str) -> None:
+        """Count one bundle resolution by its source: ``"memory"`` is a
+        hit; ``"store"`` and ``"compile"`` are misses."""
+        if source == "memory":
+            self.bundle_hits += 1
+            return
+        self.bundle_misses += 1
+        if source == "store":
+            self.bundle_store_hits += 1
+        else:
+            self.bundle_compiles += 1
 
     def record_process(self, slot: int, stats: dict) -> None:
         """Fold one worker process's counters into the aggregate view."""

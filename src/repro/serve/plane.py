@@ -36,16 +36,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.baremetal.pipeline import bundle_cache_key
 from repro.core.calibration import CalibrationTable
-from repro.core.fastpath import FastPathRunRequest, FastPathRunResult
 from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.serve.cache import BundleCache
+from repro.serve.cache import BundleCache, zoo_entry
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.procpool import ProcessWorkerPool
-from repro.serve.request import DeploymentSpec, InferenceRequest, InferenceResponse
+from repro.serve.request import (
+    DeploymentSpec,
+    FastPathRunRequest,
+    FastPathRunResult,
+    InferenceRequest,
+    InferenceResponse,
+)
 from repro.serve.scheduler import Batch, RequestScheduler
+from repro.serve.workers import respond
 from repro.store import BundleStore
 
 
@@ -97,7 +102,8 @@ class ServingPlane:
             batch_timeout_s=batch_timeout_s,
             trace_enabled=tracer.enabled,
         )
-        self._published: set[DeploymentSpec] = set()
+        # Published deployment → its bundle key, shipped on every run.
+        self._bundle_keys: dict[DeploymentSpec, tuple] = {}
         self._first_miss: set[DeploymentSpec] = set()
         self._next_request_id = 0
 
@@ -149,30 +155,20 @@ class ServingPlane:
     def _publish(self, deployment: DeploymentSpec) -> None:
         """Parent-side compile-once: make sure the deployment's bundle
         is in the store the worker processes rehydrate from."""
-        if deployment in self._published:
+        if deployment in self._bundle_keys:
             return
-        misses_before = self.cache.stats.misses
-        store_hits_before = self.cache.stats.store_hits
-        self.cache.bundle_for(
-            deployment.model,
-            deployment.config,
-            precision=deployment.precision,
-            fidelity=deployment.fidelity,
+        key, build = zoo_entry(
+            deployment.model, deployment.config, deployment.precision,
+            deployment.fidelity,
         )
-        if self.cache.stats.misses == misses_before:
-            self.metrics.bundle_hits += 1
-        else:
-            self.metrics.bundle_misses += 1
+        _, source = self.cache.resolve(key, build)
+        self.metrics.record_resolution(source)
+        if source != "memory":
             self._first_miss.add(deployment)
-            if self.cache.stats.store_hits > store_hits_before:
-                self.metrics.bundle_store_hits += 1
-            else:
-                self.metrics.bundle_compiles += 1
-        self._published.add(deployment)
+        self._bundle_keys[deployment] = key
 
     def _run_request(self, request: InferenceRequest) -> FastPathRunRequest:
         """The picklable wire form: inputs by seed, bundles by key."""
-        spec = request.deployment
         trace_ctx = None
         if self.tracer.enabled:
             root = self._root_spans.get(request.request_id)
@@ -180,54 +176,26 @@ class ServingPlane:
                 trace_ctx = Tracer.context(root)
         return FastPathRunRequest(
             request_id=request.request_id,
-            model=spec.model,
-            config=spec.config,
-            precision=spec.precision.value,
-            fidelity=spec.fidelity,
-            execution_mode=spec.execution_mode,
-            frequency_hz=spec.frequency_hz,
-            memory_bus_width_bits=spec.memory_bus_width_bits,
-            bundle_key=bundle_cache_key(
-                spec.model, spec.config, spec.precision, spec.fidelity
-            ),
+            deployment=request.deployment,
+            bundle_key=self._bundle_keys[request.deployment],
             input_image=request.input_image,
-            input_seed=(self.input_seed, request.request_id),
+            input_seed=self.input_seed,
             trace_ctx=trace_ctx,
         )
 
     def _response(
-        self, batch: Batch, request: InferenceRequest, result: FastPathRunResult, slot: int
+        self, batch: Batch, result: FastPathRunResult, slot: int
     ) -> InferenceResponse:
         deployment = batch.deployment
-        cache_hit = True
-        if deployment in self._first_miss:
-            self._first_miss.discard(deployment)
-            cache_hit = False
-        self.metrics.record(
-            result.wall_seconds,
-            result.cycles,
-            result.ok,
-            deployment=deployment.describe(),
-        )
+        cache_hit = deployment not in self._first_miss
+        self._first_miss.discard(deployment)
         if self.tracer.enabled:
             self.tracer.ingest(result.spans)
-            root = self._root_spans.pop(request.request_id, None)
+            root = self._root_spans.pop(result.request_id, None)
             if root is not None:
                 self.tracer.end(root, ok=result.ok, cycles=result.cycles,
                                 process=slot, batch_id=batch.batch_id)
-        return InferenceResponse(
-            request_id=request.request_id,
-            deployment=deployment,
-            ok=result.ok,
-            output=result.output,
-            cycles=result.cycles,
-            sim_seconds=result.sim_seconds,
-            wall_seconds=result.wall_seconds,
-            cache_hit=cache_hit,
-            worker_id=result.worker_id,
-            batch_id=batch.batch_id,
-            notes={"process": slot},
-        )
+        return respond(self.metrics, batch, result, cache_hit, process=slot)
 
     # ------------------------------------------------------------------
     # Serving.
@@ -299,9 +267,9 @@ class ServingPlane:
                 return
             finally:
                 free.put_nowait(handle)
-            for request, result in zip(batch.requests, results):
-                futures[request.request_id].set_result(
-                    self._response(batch, request, result, handle.slot)
+            for result in results:
+                futures[result.request_id].set_result(
+                    self._response(batch, result, handle.slot)
                 )
             self.metrics.batches += 1
 

@@ -8,11 +8,14 @@ Spawn-safe by construction:
 
 - worker processes are started with the ``spawn`` method (no forked
   locks, works identically on every platform and under pytest);
-- nothing heavier than :class:`~repro.core.fastpath.FastPathRunRequest`
+- nothing heavier than :class:`~repro.serve.request.FastPathRunRequest`
   crosses the process boundary — bundles travel as their deployment
   cache key and are rehydrated on the far side from the shared
   :class:`~repro.store.BundleStore` (memory → store → deterministic
   recompile, the same miss path every replica uses);
+- each request runs :func:`~repro.serve.workers.serve_request`, the
+  same core the in-process service runs, inside a ``worker.serve``
+  span;
 - each process loads its calibration table exactly once, from the
   JSON-ready payload it was spawned with, and owns its executors and
   bundle cache for its whole lifetime.
@@ -28,13 +31,14 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from repro.baremetal.pipeline import bundle_cache_key
 from repro.core.calibration import CalibrationTable
-from repro.core.fastpath import FastPathRunRequest, FastPathRunResult
 from repro.errors import ReproError
-from repro.obs.trace import NULL_TRACER, Tracer, classify_resolution, record_unit_spans
+from repro.obs.trace import Tracer
+from repro.serve.request import FastPathRunRequest, FastPathRunResult
 
 _SPAWN = multiprocessing.get_context("spawn")
 
@@ -48,93 +52,18 @@ class WorkerProcessDied(ReproError):
 # ----------------------------------------------------------------------
 
 
-def _serve_request(
-    cache, pool, request: FastPathRunRequest, tracer: Tracer = NULL_TRACER
-) -> FastPathRunResult:
-    """One inference inside the worker process."""
-    from repro.baremetal.pipeline import bundle_cache_key
-    from repro.nvdla.config import Precision
-    from repro.serve.request import DeploymentSpec, make_input, request_rng
-
-    # Parent this process's spans under the plane's request span: the
-    # shipped (trace_id, span_id) is all the context stitching needs.
-    if tracer.enabled and request.trace_ctx is not None:
-        trace_id, parent_id = request.trace_ctx
-        serve_span = tracer.start(
-            "worker.serve", trace_id=trace_id, parent=parent_id,
-            request_id=request.request_id, model=request.model,
+def _check_bundle_key(run: FastPathRunRequest) -> None:
+    """Refuse a request whose shipped bundle key names another deployment."""
+    if run.bundle_key is None:
+        return
+    spec = run.deployment
+    expected = bundle_cache_key(spec.model, spec.config, spec.precision, spec.fidelity)
+    if tuple(run.bundle_key) != expected:
+        raise ReproError(
+            f"request {run.request_id}: shipped bundle key "
+            f"{run.bundle_key!r} does not name this deployment "
+            f"(expected {expected!r})"
         )
-    else:
-        serve_span = tracer.start("worker.serve", request_id=request.request_id)
-
-    spec = DeploymentSpec(
-        request.model,
-        config=request.config,
-        precision=Precision(request.precision),
-        fidelity=request.fidelity,
-        frequency_hz=request.frequency_hz,
-        memory_bus_width_bits=request.memory_bus_width_bits,
-        execution_mode=request.execution_mode,
-    )
-    if request.bundle_key is not None:
-        expected = bundle_cache_key(
-            spec.model, spec.config, spec.precision, spec.fidelity,
-            seed=request.flow_seed,
-        )
-        if tuple(request.bundle_key) != expected:
-            raise ReproError(
-                f"request {request.request_id}: shipped bundle key "
-                f"{request.bundle_key!r} does not name this deployment "
-                f"(expected {expected!r})"
-            )
-    stats_before = cache.stats.to_dict() if tracer.enabled else None
-    resolve_span = tracer.start("bundle.resolve", parent=serve_span)
-    bundle = cache.bundle_for(
-        spec.model,
-        spec.config,
-        precision=spec.precision,
-        fidelity=spec.fidelity,
-        seed=request.flow_seed,
-    )
-    if tracer.enabled:
-        tracer.end(
-            resolve_span,
-            source=classify_resolution(stats_before, cache.stats.to_dict()),
-        )
-    image = request.input_image
-    if image is None and spec.fidelity == "functional":
-        if request.input_seed is None:
-            raise ReproError(
-                f"request {request.request_id} has neither an input image "
-                f"nor an input seed"
-            )
-        with tracer.span("input.synthesize", parent=serve_span):
-            image = make_input(
-                bundle.loadable.input_tensor.shape, request_rng(*request.input_seed)
-            )
-    worker = pool.worker_for(spec)
-    execute_span = tracer.start("execute", parent=serve_span,
-                                mode=spec.execution_mode)
-    began = time.perf_counter()
-    result = worker.run(bundle, input_image=image)
-    wall = time.perf_counter() - began
-    worker.stats.busy_seconds += wall
-    if tracer.enabled:
-        tracer.end(execute_span, cycles=result.cycles,
-                   sim_seconds=result.seconds, worker_id=worker.worker_id)
-        record_unit_spans(tracer, execute_span,
-                          getattr(result, "op_records", ()), result.cycles)
-        tracer.end(serve_span, ok=result.ok)
-    return FastPathRunResult(
-        request_id=request.request_id,
-        ok=result.ok,
-        output=result.output,
-        cycles=result.cycles,
-        sim_seconds=result.seconds,
-        wall_seconds=wall,
-        worker_id=worker.worker_id,
-        spans=tuple(tracer.drain()) if tracer.enabled else (),
-    )
 
 
 def _worker_main(
@@ -148,7 +77,7 @@ def _worker_main(
 ) -> None:
     """Entry point of one worker process (top level: spawn-picklable)."""
     from repro.serve.cache import BundleCache
-    from repro.serve.workers import WorkerPool
+    from repro.serve.workers import WorkerPool, serve_request
     from repro.store import BundleStore
 
     calibration = (
@@ -167,12 +96,28 @@ def _worker_main(
         message = inbox.get()
         if message is None:
             return
-        batch_id, requests = message
+        batch_id, runs = message
         try:
-            results = [
-                _serve_request(cache, pool, request, tracer=tracer)
-                for request in requests
-            ]
+            results = []
+            for run in runs:
+                _check_bundle_key(run)
+                spec = run.deployment
+                # Parent this process's spans under the plane's request
+                # span: the shipped (trace_id, span_id) is all the
+                # context stitching needs.
+                trace_id, parent_id = run.trace_ctx or (None, None)
+                serve_span = tracer.start(
+                    "worker.serve", trace_id=trace_id, parent=parent_id,
+                    request_id=run.request_id, model=spec.model,
+                )
+                result, _source = serve_request(
+                    cache, pool, spec, run.request_id, run.input_image,
+                    run.input_seed, tracer, serve_span,
+                )
+                if tracer.enabled:
+                    tracer.end(serve_span, ok=result.ok)
+                    result = replace(result, spans=tuple(tracer.drain()))
+                results.append(result)
         except Exception as exc:  # ship the failure, keep serving
             tracer.drain()  # half-built spans of a failed batch
             outbox.put(("error", batch_id, f"{type(exc).__name__}: {exc}"))

@@ -113,3 +113,49 @@ class InferenceResponse:
     @property
     def sim_milliseconds(self) -> float:
         return self.sim_seconds * 1e3
+
+
+@dataclass(frozen=True)
+class FastPathRunRequest:
+    """Spawn-safe wire form of one request for a worker process.
+
+    No bundle object crosses the process boundary.  The bundle travels
+    as its deployment cache key (``bundle_key``, see
+    :func:`repro.baremetal.pipeline.bundle_cache_key`), which the
+    worker checks against ``deployment`` before rehydrating the bundle
+    from the shared :class:`~repro.store.BundleStore` — or recompiling
+    it deterministically on a store miss, which yields bit-identical
+    artifacts by construction.
+
+    ``input_seed`` is the service seed of :func:`request_rng`: when
+    ``input_image`` is ``None`` for a functional deployment, the worker
+    draws the input from ``request_rng(input_seed, request_id)``, so
+    the tensor a request receives is independent of which process
+    serves it.
+    """
+
+    request_id: int
+    deployment: DeploymentSpec
+    bundle_key: tuple | None = None
+    input_image: np.ndarray | None = None
+    input_seed: int | None = None
+    # Tracing context (trace_id, parent span_id) from Tracer.context():
+    # the worker process parents its spans under the plane's request
+    # span so the trace stitches across the process boundary.
+    trace_ctx: tuple[str, str] | None = None
+
+
+@dataclass(frozen=True)
+class FastPathRunResult:
+    """Picklable outcome of one request, in or out of process."""
+
+    request_id: int
+    ok: bool
+    output: np.ndarray | None
+    cycles: int
+    sim_seconds: float
+    wall_seconds: float  # host time inside the worker's run()
+    worker_id: int = 0  # in-process worker id within its process
+    # Finished span dicts recorded in the worker process for this
+    # request (empty when tracing is off); the plane ingests them.
+    spans: tuple = ()

@@ -20,10 +20,16 @@ them (quantise with the input tensor's scale, pack to memory atoms)
 and written over the bundle's baked-in ``input.bin`` region, which is
 the paper's deployment story: the generated program is
 input-independent, only the preloaded image changes.
+
+:func:`serve_request` is the one request path: the in-process
+:class:`~repro.serve.service.InferenceService` and every worker process
+of the :class:`~repro.serve.plane.ServingPlane` run it, and
+:func:`respond` turns its result into the caller's response.
 """
 
 from __future__ import annotations
 
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -37,7 +43,17 @@ from repro.core.soc import Soc, SocRunResult
 from repro.errors import ReproError
 from repro.nvdla.config import get_config
 from repro.nvdla.fastpath import pack_input
-from repro.serve.request import DeploymentSpec
+from repro.obs.trace import Span, Tracer, record_unit_spans
+from repro.serve.cache import BundleCache, zoo_entry
+from repro.serve.metrics import ServiceMetrics
+from repro.serve.request import (
+    DeploymentSpec,
+    FastPathRunResult,
+    InferenceResponse,
+    make_input,
+    request_rng,
+)
+from repro.serve.scheduler import Batch
 
 
 def hardware_key(spec: DeploymentSpec) -> tuple:
@@ -221,3 +237,89 @@ class WorkerPool:
 
     def all_workers(self) -> list[SocWorker | FastPathWorker]:
         return [w for lane in self._workers.values() for w in lane]
+
+
+def serve_request(
+    cache: BundleCache,
+    pool: WorkerPool,
+    spec: DeploymentSpec,
+    request_id: int,
+    input_image: np.ndarray | None,
+    input_seed: int | None,
+    tracer: Tracer,
+    parent: Span,
+) -> tuple[FastPathRunResult, str]:
+    """Serve one request: resolve the bundle, synthesise the input,
+    execute on a pooled worker.
+
+    Returns the result and the bundle's source (``"memory"``,
+    ``"store"`` or ``"compile"``).  Spans nest under ``parent``:
+    ``bundle.resolve``, ``input.synthesize`` (only when the input is
+    synthesised) and ``execute`` with its per-unit children.  A
+    functional request without an image draws its input from
+    ``request_rng(input_seed, request_id)``.
+    """
+    resolve_span = tracer.start("bundle.resolve", parent=parent)
+    bundle, source = cache.resolve(
+        *zoo_entry(spec.model, spec.config, spec.precision, spec.fidelity)
+    )
+    if tracer.enabled:
+        tracer.end(resolve_span, source=source)
+    image = input_image
+    if image is None and spec.fidelity == "functional":
+        if input_seed is None:
+            raise ReproError(
+                f"request {request_id} has neither an input image nor an input seed"
+            )
+        with tracer.span("input.synthesize", parent=parent):
+            image = make_input(
+                bundle.loadable.input_tensor.shape, request_rng(input_seed, request_id)
+            )
+    worker = pool.worker_for(spec)
+    execute_span = tracer.start("execute", parent=parent, mode=spec.execution_mode)
+    began = time.perf_counter()
+    result = worker.run(bundle, input_image=image)
+    wall = time.perf_counter() - began
+    worker.stats.busy_seconds += wall
+    if tracer.enabled:
+        tracer.end(execute_span, cycles=result.cycles,
+                   sim_seconds=result.seconds, worker_id=worker.worker_id)
+        record_unit_spans(tracer, execute_span,
+                          getattr(result, "op_records", ()), result.cycles)
+    return FastPathRunResult(
+        request_id=request_id,
+        ok=result.ok,
+        output=result.output,
+        cycles=result.cycles,
+        sim_seconds=result.seconds,
+        wall_seconds=wall,
+        worker_id=worker.worker_id,
+    ), source
+
+
+def respond(
+    metrics: ServiceMetrics,
+    batch: Batch,
+    result: FastPathRunResult,
+    cache_hit: bool,
+    **notes,
+) -> InferenceResponse:
+    """Record ``result`` in ``metrics`` and build its response;
+    keyword arguments become the response's notes."""
+    deployment = batch.deployment
+    metrics.record(
+        result.wall_seconds, result.cycles, result.ok, deployment=deployment.describe()
+    )
+    return InferenceResponse(
+        request_id=result.request_id,
+        deployment=deployment,
+        ok=result.ok,
+        output=result.output,
+        cycles=result.cycles,
+        sim_seconds=result.sim_seconds,
+        wall_seconds=result.wall_seconds,
+        cache_hit=cache_hit,
+        worker_id=result.worker_id,
+        batch_id=batch.batch_id,
+        notes=notes,
+    )

@@ -12,7 +12,6 @@ from repro.obs.trace import (
     NULL_TRACER,
     Span,
     Tracer,
-    classify_resolution,
     record_unit_spans,
 )
 
@@ -193,15 +192,6 @@ def test_record_unit_spans_zero_total_cycles():
     # still exact in attrs.
     assert unit["start_s"] == unit["end_s"] == parent.start_s
     assert unit["attrs"]["cycles"] == 1
-
-
-def test_classify_resolution():
-    base = {"hits": 0, "misses": 0, "store_hits": 0}
-    assert classify_resolution(base, {**base, "hits": 1}) == "memory"
-    assert classify_resolution(
-        base, {"hits": 0, "misses": 1, "store_hits": 1}) == "store"
-    assert classify_resolution(
-        base, {"hits": 0, "misses": 1, "store_hits": 0}) == "compile"
 
 
 def test_span_to_dict_shape_is_the_wire_format():

@@ -195,3 +195,30 @@ def test_storeless_cache_never_counts_store_traffic():
     assert cache.stats.store_errors == 0
     assert cache.stats.compiles == 1
     assert cache.stats.misses == 1
+
+
+def test_resolve_reports_the_bundle_source(tmp_path):
+    """resolve() names where each bundle came from: compile on a cold
+    miss, memory once resident, store for a fresh cache over the same
+    store — and compile again, counting a store error, once the stored
+    object is corrupt."""
+    import json
+
+    from repro.serve.cache import zoo_entry
+    from repro.store import BundleStore, key_digest
+
+    store = BundleStore(tmp_path / "store")
+    key, build = zoo_entry("lenet5", NV_SMALL, fidelity="timing")
+    cache = BundleCache(store=store)
+    assert cache.resolve(key, build)[1] == "compile"
+    assert cache.resolve(key, build)[1] == "memory"
+    assert BundleCache(store=store).resolve(key, build)[1] == "store"
+
+    ref = json.loads((store.root / "refs" / f"{key_digest(key)}.json").read_text())
+    path = store.root / "objects" / ref["object"][:2] / ref["object"]
+    blob = bytearray(path.read_bytes())
+    blob[-5] ^= 0xFF
+    path.write_bytes(bytes(blob))
+    damaged = BundleCache(store=store)
+    assert damaged.resolve(key, build)[1] == "compile"
+    assert damaged.stats.store_errors == 1

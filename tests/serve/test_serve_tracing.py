@@ -93,6 +93,33 @@ def test_batch_spans_classify_bundle_resolution(tmp_path):
     assert sources(second) == ["store"]
 
 
+def _child_names(node):
+    return [c.name for c in sorted(node.children, key=lambda n: n.span["start_s"])]
+
+
+def test_service_and_plane_record_the_same_request_spans(cache):
+    """Both front ends run one request core, so the service's request
+    root and the plane worker's worker.serve span have the same
+    children in the same order."""
+    service_tracer = Tracer(enabled=True, process=-1)
+    service = InferenceService(cache=cache, tracer=service_tracer)
+    service.request(LENET)
+    service.run_pending()
+    (service_tree,) = _request_trees(service_tracer.finished)
+    request_root = service_tree.roots[0]
+
+    plane_tracer = Tracer(enabled=True, process=-1)
+    with ServingPlane(processes=1, cache=cache, tracer=plane_tracer) as plane:
+        plane.serve([plane.request(LENET)])
+    (plane_tree,) = _request_trees(plane_tracer.finished)
+    worker_serve = next(n for _, n in plane_tree.roots[0].walk()
+                        if n.name == "worker.serve")
+
+    expected = ["bundle.resolve", "input.synthesize", "execute"]
+    assert _child_names(request_root) == expected
+    assert _child_names(worker_serve) == expected
+
+
 def test_batch_trace_links_requests_by_attr(cache):
     tracer = Tracer(enabled=True, process=-1)
     service = InferenceService(cache=cache, max_batch_size=8, tracer=tracer)

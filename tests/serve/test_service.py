@@ -50,6 +50,20 @@ def test_shared_cache_prewarms_service():
     assert service.metrics.bundle_misses == 0
 
 
+def test_bundle_counters_match_per_request_cache_hits():
+    """Resolution is counted per request, so the service's hit/miss
+    counters agree with the responses' cache_hit flags — also inside
+    one batch, where only the first request compiles."""
+    service = InferenceService(cache=BundleCache(), max_batch_size=4)
+    for _ in range(3):
+        service.request(LENET)
+    responses = service.run_pending()
+    assert len({r.batch_id for r in responses}) == 1
+    assert service.metrics.bundle_hits == sum(r.cache_hit for r in responses)
+    assert service.metrics.bundle_misses == sum(not r.cache_hit for r in responses)
+    assert service.metrics.bundle_compiles == 1
+
+
 def test_synthesised_inputs_are_reproducible():
     """Two services with the same input seed produce identical outputs
     for requests that carry no input image."""
@@ -73,8 +87,9 @@ def test_cached_bundles_share_artifact_digest():
     service.request(LENET, make_input_for(net, rng))
     service.request(LENET, make_input_for(net, rng))
     service.run_pending()
-    bundle, hit = service.bundle_for(LENET)
-    assert hit
+    hits = service.cache.stats.hits
+    bundle = service.cache.bundle_for("lenet5", "nv_small")
+    assert service.cache.stats.hits == hits + 1
     # The digest is stable across calls and covers the whole artefact set.
     assert bundle.artifact_digest() == bundle.artifact_digest()
     assert len(bundle.artifact_digest()) == 64

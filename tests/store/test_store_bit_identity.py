@@ -62,7 +62,7 @@ def test_store_loaded_bundle_serves_identical_outputs(tmp_path):
 
     # Publish the compiled bundle, then serve from a fresh cache that
     # can only have gotten it from disk.
-    bundle, _ = cold.bundle_for(spec)
+    bundle = cold.cache.bundle_for("lenet5", "nv_small")
     store.put_bundle(
         bundle_cache_key("lenet5", "nv_small", Precision.INT8, "functional"),
         bundle,
