@@ -6,8 +6,10 @@ Composes the whole of the paper's Fig. 1 in one call::
 
 running: compile → VP execution (trace capture) → configuration file →
 weight/input extraction → RISC-V assembly → machine code.  The bundle
-carries every intermediate artefact, so examples and tests can inspect
-any stage, and the SoC model consumes the final images directly.
+:func:`generate_baremetal` returns carries every intermediate artefact,
+so examples and tests can inspect any stage, and the SoC model consumes
+the final images directly.  Bundles from the store or the serving cache
+carry only the deployable artefacts.
 """
 
 from __future__ import annotations
@@ -35,19 +37,26 @@ from repro.vp import InferenceResult, NvdlaRuntime, TraceLog, VirtualPlatform
 
 @dataclass
 class BaremetalBundle:
-    """All artefacts of one offline flow run."""
+    """The artefacts of one offline flow run.
+
+    ``trace``, ``vp_result`` and ``input_image`` are the build record:
+    the VP trace the artefacts were generated from, the VP's reference
+    result and the calibration input it ran on.  :func:`generate_baremetal`
+    fills them; a bundle from the store or the serving cache is the
+    deployable form and has them set to ``None``.
+    """
 
     network: str
     config: str
     precision: Precision
     loadable: Loadable
-    trace: TraceLog
     commands: list[ConfigCommand]
     assembly: str
     program: Program
     images: DeploymentImages
-    vp_result: InferenceResult
-    input_image: np.ndarray
+    trace: TraceLog | None = None
+    vp_result: InferenceResult | None = None
+    input_image: np.ndarray | None = None
     fidelity: str = "functional"
     notes: dict = field(default_factory=dict)
 
@@ -84,12 +93,16 @@ class BaremetalBundle:
     def describe(self) -> str:
         lines = [
             f"bare-metal bundle: {self.network} on {self.config} ({self.precision.value})",
-            f"  trace: {len(self.trace.csb)} csb + {len(self.trace.dbb)} dbb transactions",
             f"  config file: {len(self.commands)} commands",
             f"  program: {len(self.program.words)} words "
             f"({self.program.size_bytes / 1024:.1f} KiB)",
             self.images.describe(),
         ]
+        if self.trace is not None:
+            lines.insert(
+                1,
+                f"  trace: {len(self.trace.csb)} csb + {len(self.trace.dbb)} dbb transactions",
+            )
         return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baremetal.pipeline import BaremetalBundle
+from repro.baremetal.pipeline import BaremetalBundle, generate_baremetal
 from repro.baseline.esp_platform import ESP_PUBLISHED_MS, EspPlatform
 from repro.core import Soc, TestSystem
 from repro.diagrams import (
@@ -309,8 +309,8 @@ def run_fastpath_validation(
 
 
 def run_fig1(model: str = "lenet5") -> str:
-    _, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, "functional")
-    return render_fig1_software_flow(bundle)
+    # The figure shows the VP trace, which only a fresh build carries.
+    return render_fig1_software_flow(generate_baremetal(ZOO[model](), NV_SMALL))
 
 
 def run_fig2(config: HardwareConfig = NV_SMALL) -> str:

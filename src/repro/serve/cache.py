@@ -18,13 +18,17 @@ process* (or a freshly provisioned replica) warms up by fetching
 verified artefacts instead of re-running the offline flow.  A store
 that fails integrity verification is treated as a miss: the bundle is
 recompiled and the bad artefact overwritten.
+
+Every source hands out the same deployable form: a fresh compile drops
+its build record (VP trace, VP result, calibration input) before it is
+kept, so the cache pins no VP trace for the life of the process.
 """
 
 from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
 from repro.baremetal.codegen import CodegenOptions
@@ -118,7 +122,9 @@ class BundleCache:
         """The bundle for ``key`` and where it came from.
 
         The source is ``"memory"``, ``"store"`` or ``"compile"`` — the
-        one place serving learns how a lookup was satisfied.
+        one place serving learns how a lookup was satisfied.  From every
+        source the bundle is the deployable form: ``trace``,
+        ``vp_result`` and ``input_image`` are ``None``.
         """
         bundle = self._entries.get(key)
         if bundle is not None:
@@ -135,6 +141,7 @@ class BundleCache:
             bundle = build()
             self.stats.build_seconds += time.perf_counter() - began
             self._publish_to_store(key, bundle)
+            bundle = replace(bundle, trace=None, vp_result=None, input_image=None)
         self._entries[key] = bundle
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

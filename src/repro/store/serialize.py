@@ -1,27 +1,27 @@
 """Bundle and loadable (de)serialisation for the persistent store.
 
 A :class:`~repro.baremetal.pipeline.BaremetalBundle` is a bag of
-heterogeneous artefacts — a compiled loadable, a VP trace, register
-commands, assembly text, a machine-code image, preload blobs, the VP
-reference result — each with an existing text or binary round-trip
-(``Loadable.to_bytes``, ``TraceLog.render``/``parse_trace``, ...).
-This module maps each onto one section of the container format, so a
-deserialised bundle is field-for-field equivalent to the one written:
-same :meth:`artifact_digest`, bit-identical execution on both tiers.
+heterogeneous artefacts — a compiled loadable, register commands,
+assembly text, a machine-code image, preload blobs — each with an
+existing text or binary round-trip (``Loadable.to_bytes``,
+``Program.to_bytes``, ...).  This module maps each onto one section of
+the container format, so a deserialised bundle is field-for-field
+equivalent to the deployable part of the one written: same
+:meth:`artifact_digest`, bit-identical execution on both tiers.
 
-Sections (``*`` = optional): ``loadable``, ``program.json``,
-``program.words``, ``assembly``, ``commands``, ``images.json``,
-``images.preload.<i>``, ``trace`` (zlib: hex text compresses well),
-``input_image``, ``vp_result.json``, ``vp_result.raw_output``,
-``vp_result.output``, ``vp_result.probabilities``\\*.
+Only deployable artefacts are stored.  The build record — the VP
+trace, the VP result and the calibration input tensor — stays with the
+bundle :func:`~repro.baremetal.pipeline.generate_baremetal` returns; a
+deserialised bundle has ``trace``, ``vp_result`` and ``input_image``
+set to ``None``.
+
+Sections: ``loadable``, ``program.json``, ``program.words``,
+``assembly``, ``commands``, ``images.json``, ``images.preload.<i>``.
 """
 
 from __future__ import annotations
 
-import io
 import json
-
-import numpy as np
 
 from repro.baremetal.config_file import ConfigCommand
 from repro.baremetal.image import BinImage, DeploymentImages
@@ -31,25 +31,12 @@ from repro.errors import StoreIntegrityError
 from repro.nvdla.config import Precision
 from repro.riscv.program import Program
 from repro.store.format import Section, read_container, write_container
-from repro.vp import InferenceResult
-from repro.vp.trace_log import parse_trace
+# Unused here; kept because perfbench's traced run times it as store.parse_trace.
+from repro.vp.trace_log import parse_trace  # noqa: F401
 
 BUNDLE_KIND = "baremetal-bundle"
 LOADABLE_KIND = "loadable"
-SERIAL_VERSION = 1
-
-
-def _array_bytes(array: np.ndarray) -> bytes:
-    buffer = io.BytesIO()
-    np.save(buffer, array, allow_pickle=False)
-    return buffer.getvalue()
-
-
-def _array_from(data: bytes, path: str | None = None) -> np.ndarray:
-    try:
-        return np.load(io.BytesIO(data), allow_pickle=False)
-    except ValueError as exc:
-        raise StoreIntegrityError(f"stored array does not parse: {exc}", path=path) from exc
+SERIAL_VERSION = 2
 
 
 def bundle_meta(bundle: BaremetalBundle) -> dict:
@@ -112,35 +99,13 @@ def serialize_bundle(bundle: BaremetalBundle) -> bytes:
             Section(f"images.preload.{index}", image.data)
             for index, image in enumerate(bundle.images.preload)
         ),
-        Section("trace", bundle.trace.render().encode(), compress=True),
-        Section("input_image", _array_bytes(bundle.input_image)),
-        Section(
-            "vp_result.json",
-            json.dumps(
-                {
-                    "cycles": bundle.vp_result.cycles,
-                    "ops": bundle.vp_result.ops,
-                    "csb_accesses": bundle.vp_result.csb_accesses,
-                    "op_cycles": bundle.vp_result.op_cycles,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode(),
-        ),
-        Section("vp_result.raw_output", _array_bytes(bundle.vp_result.raw_output)),
-        Section("vp_result.output", _array_bytes(bundle.vp_result.output)),
     ]
-    if bundle.vp_result.probabilities is not None:
-        sections.append(
-            Section(
-                "vp_result.probabilities", _array_bytes(bundle.vp_result.probabilities)
-            )
-        )
     return write_container(bundle_meta(bundle), sections)
 
 
 def deserialize_bundle(blob: bytes, path: str | None = None) -> BaremetalBundle:
-    """Reconstruct a bundle; integrity failures raise, never mis-load."""
+    """Reconstruct a bundle's deployable form; integrity failures raise,
+    never mis-load."""
     meta, sections = read_container(blob, path=path)
     if meta.get("kind") != BUNDLE_KIND:
         raise StoreIntegrityError(
@@ -179,39 +144,21 @@ def deserialize_bundle(blob: bytes, path: str | None = None) -> BaremetalBundle:
             )
             for index, entry in enumerate(images_meta["preload"])
         ]
-        trace = parse_trace(section("trace").decode())
-        vp_meta = json.loads(section("vp_result.json").decode())
     except StoreIntegrityError:
         raise
     except Exception as exc:  # malformed inner payloads are integrity failures too
         raise StoreIntegrityError(f"stored bundle does not decode: {exc}", path=path) from exc
-    vp_result = InferenceResult(
-        raw_output=_array_from(section("vp_result.raw_output"), path),
-        output=_array_from(section("vp_result.output"), path),
-        probabilities=(
-            _array_from(sections["vp_result.probabilities"], path)
-            if "vp_result.probabilities" in sections
-            else None
-        ),
-        cycles=vp_meta["cycles"],
-        ops=vp_meta["ops"],
-        csb_accesses=vp_meta["csb_accesses"],
-        op_cycles=vp_meta["op_cycles"],
-    )
     bundle = BaremetalBundle(
         network=meta["network"],
         config=meta["config"],
         precision=Precision(meta["precision"]),
         loadable=loadable,
-        trace=trace,
         commands=commands,
         assembly=assembly,
         program=program,
         images=DeploymentImages(
             program_mem=images_meta["program_mem"], program=program, preload=preload
         ),
-        vp_result=vp_result,
-        input_image=_array_from(section("input_image"), path),
         fidelity=meta["fidelity"],
         notes=meta.get("notes", {}),
     )

@@ -201,7 +201,8 @@ def test_resolve_reports_the_bundle_source(tmp_path):
     """resolve() names where each bundle came from: compile on a cold
     miss, memory once resident, store for a fresh cache over the same
     store — and compile again, counting a store error, once the stored
-    object is corrupt."""
+    object is corrupt.  Every source hands out the same deployable
+    form: no build record, one artifact digest."""
     import json
 
     from repro.serve.cache import zoo_entry
@@ -210,9 +211,17 @@ def test_resolve_reports_the_bundle_source(tmp_path):
     store = BundleStore(tmp_path / "store")
     key, build = zoo_entry("lenet5", NV_SMALL, fidelity="timing")
     cache = BundleCache(store=store)
-    assert cache.resolve(key, build)[1] == "compile"
-    assert cache.resolve(key, build)[1] == "memory"
-    assert BundleCache(store=store).resolve(key, build)[1] == "store"
+    resolved = [
+        cache.resolve(key, build),
+        cache.resolve(key, build),
+        BundleCache(store=store).resolve(key, build),
+    ]
+    assert [source for _, source in resolved] == ["compile", "memory", "store"]
+    built = build()
+    assert all(x is not None for x in (built.trace, built.vp_result, built.input_image))
+    for bundle, _ in resolved:
+        assert (bundle.trace, bundle.vp_result, bundle.input_image) == (None, None, None)
+        assert bundle.artifact_digest() == built.artifact_digest()
 
     ref = json.loads((store.root / "refs" / f"{key_digest(key)}.json").read_text())
     path = store.root / "objects" / ref["object"][:2] / ref["object"]

@@ -2,7 +2,8 @@
 
 Each test damages the on-disk artifact a different way — flipped
 payload byte, flipped index byte, truncation, swapped objects, torn
-ref, dangling ref, forged magic/version — and asserts the store raises
+ref, dangling ref, forged magic/version, an older bundle serial
+version — and asserts the store raises
 :class:`StoreIntegrityError` instead of returning a silently wrong
 bundle, and that a store-backed :class:`BundleCache` falls back to
 recompilation.
@@ -163,3 +164,22 @@ def test_corrupt_section_is_not_silently_decoded(lenet_bundle):
             read_container(bytes(blob))
         blob[offset] ^= 0x01  # restore
     read_container(bytes(blob))  # pristine again parses
+
+
+def test_older_serial_version_refused_then_healed(store, monkeypatch):
+    """An object written under the previous serial version (one that
+    still carried the VP trace) is a typed refusal; a store-backed cache
+    recompiles and republishes it, so the next fresh cache loads it."""
+    from repro.serve.cache import zoo_entry
+    from repro.store import serialize
+
+    key, build = zoo_entry("lenet5", "nv_small", fidelity="timing")
+    with monkeypatch.context() as patch:
+        patch.setattr(serialize, "SERIAL_VERSION", serialize.SERIAL_VERSION - 1)
+        store.put_bundle(key, build())
+    with pytest.raises(StoreIntegrityError, match="serial version"):
+        store.get_bundle(key)
+    cache = BundleCache(store=store)
+    assert cache.resolve(key, build)[1] == "compile"
+    assert cache.stats.store_errors == 1
+    assert BundleCache(store=store).resolve(key, build)[1] == "store"
