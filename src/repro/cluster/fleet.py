@@ -48,6 +48,7 @@ from repro.core.calibration import CalibrationTable
 from repro.core.fastpath import FastPathExecutor
 from repro.errors import ReproError
 from repro.nvdla.config import get_config
+from repro.obs.metrics import Histogram
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.cache import BundleCache
 from repro.serve.metrics import LatencySummary, percentile
@@ -478,10 +479,7 @@ class ClusterSimulation:
         if self.autoscaler:
             self.autoscaler.reset()
         self._next_replica_id = 0
-        metrics = ClusterMetrics(
-            slo=self.slo,
-            policy_name=self.router.name,
-        )
+        metrics = ClusterMetrics(slo=self.slo, policy_name=self.router.name)
         fleet = [self._new_replica(0.0) for _ in range(self.initial_replicas)]
         metrics.peak_replicas = len(fleet)
         window: deque[tuple[float, float, float]] = deque()
@@ -611,8 +609,9 @@ class ClusterSimulation:
 
 
 def fleet_latency_summary(results: list[ClusterResult]) -> LatencySummary:
-    """Pooled virtual-latency summary across several runs."""
-    samples: list[float] = []
+    """Virtual-latency summary across several runs, from their merged
+    latency histograms."""
+    merged = Histogram("cluster.latency.seconds")
     for result in results:
-        samples.extend(result.metrics.latencies)
-    return LatencySummary.of(samples)
+        merged.merge(result.metrics.latency_histogram())
+    return LatencySummary.of_histogram(merged)

@@ -2,12 +2,11 @@
 
 :class:`ClusterMetrics` accumulates per-request outcomes on the
 simulation's virtual clock — completed (with latency and warm-state
-hit), rejected (with the shedding reason) — plus the autoscaler's
-scale-event timeline and, when the fleet executed requests for real,
-an aggregate of every replica's host-side
-:class:`~repro.serve.metrics.ServiceMetrics`
-(via :func:`aggregate_service_metrics`, built on the serve layer's
-``to_dict`` export rather than scraping rendered text).
+hit), rejected (with the shedding reason) — in a metrics registry,
+plus the autoscaler's scale-event timeline and, when the fleet
+executed requests for real, an aggregate of every replica's host-side
+:class:`~repro.serve.metrics.ServiceMetrics` (via
+:func:`aggregate_service_metrics`, which merges their registries).
 """
 
 from __future__ import annotations
@@ -17,41 +16,30 @@ from typing import Iterable
 
 from repro.cluster.admission import SloPolicy
 from repro.cluster.autoscaler import ScaleEvent
-from repro.obs.metrics import MetricsRegistry, counter_property
+from repro.obs.metrics import Histogram, MetricsRegistry, counter_property
 from repro.obs.stats import LatencySummary
 from repro.serve.metrics import ServiceMetrics
+
+REJECTED_PREFIX = "cluster.rejected."
 
 
 def aggregate_service_metrics(services: Iterable[ServiceMetrics]) -> dict:
     """Roll per-replica ServiceMetrics up into one fleet-wide view.
 
-    Counters sum; latency percentiles are recomputed over the pooled
-    samples (a mean of p99s is not a p99).  Returns JSON-ready data in
-    the same shape as :meth:`ServiceMetrics.to_dict`.
+    The replicas' registries merge into one: counters sum and latency
+    histograms add bucket by bucket, so fleet percentiles come from the
+    merged histograms (a mean of p99s is not a p99).  Returns JSON-ready
+    data in the same shape as :meth:`ServiceMetrics.to_dict`.
     """
-    services = list(services)
-    wall: list[float] = []
-    cycles: list[float] = []
-    totals = {
-        "replicas": len(services),
-        "requests": 0,
-        "failures": 0,
-        "bundle_hits": 0,
-        "bundle_misses": 0,
-        "wall_seconds_total": 0.0,
-    }
+    fleet = ServiceMetrics()
+    replicas = 0
     for metrics in services:
-        summary = metrics.to_dict()
-        totals["requests"] += summary["requests"]
-        totals["failures"] += summary["failures"]
-        totals["bundle_hits"] += summary["bundle_hits"]
-        totals["bundle_misses"] += summary["bundle_misses"]
-        totals["wall_seconds_total"] += summary["wall_seconds_total"]
-        wall.extend(metrics.wall_latencies)
-        cycles.extend(metrics.cycle_latencies)
-    totals["wall"] = LatencySummary.of(wall).to_dict()
-    totals["cycles"] = LatencySummary.of(cycles).to_dict()
-    return totals
+        fleet.registry.merge(metrics.registry)
+        replicas += 1
+    summary = fleet.to_dict()
+    keys = ("requests", "failures", "bundle_hits", "bundle_misses",
+            "wall_seconds_total", "wall", "cycles")
+    return {"replicas": replicas, **{key: summary[key] for key in keys}}
 
 
 @dataclass
@@ -81,10 +69,11 @@ class ReplicaUsage:
 class ClusterMetrics:
     """Counters accumulated across one fleet-simulation run.
 
-    Scalar counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
-    under ``cluster.*`` names; the attribute surface and
-    :meth:`to_dict` snapshot shape are unchanged from the pre-registry
-    dataclass.
+    Counters and the latency histogram live in a
+    :class:`~repro.obs.metrics.MetricsRegistry` under ``cluster.*``
+    names (rejections per reason as ``cluster.rejected.<reason>``); the
+    attributes are a facade over it, and every latency summary is
+    derived from the ``cluster.latency.seconds`` histogram.
     """
 
     arrivals = counter_property("cluster.arrivals")
@@ -96,51 +85,21 @@ class ClusterMetrics:
     resident_misses = counter_property("cluster.resident.misses")
     slo_met = counter_property("cluster.slo_met")
 
-    def __init__(
-        self,
-        slo: SloPolicy | None = None,
-        policy_name: str = "",
-        arrival_name: str = "",
-        arrivals: int = 0,
-        completed: int = 0,
-        failures: int = 0,
-        rejected: int = 0,
-        rejections_by_reason: dict[str, int] | None = None,
-        resident_hits: int = 0,
-        resident_misses: int = 0,
-        slo_met: int = 0,
-        latencies: list[float] | None = None,
-        first_arrival_s: float | None = None,
-        last_arrival_s: float = 0.0,
-        last_completion_s: float = 0.0,
-        peak_replicas: int = 0,
-        scale_events: list[ScaleEvent] | None = None,
-        replica_usage: list[ReplicaUsage] | None = None,
-        service_aggregate: dict | None = None,
-        registry: MetricsRegistry | None = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
+    def __init__(self, slo: SloPolicy | None = None, policy_name: str = ""):
+        self.registry = MetricsRegistry()
         self.slo = slo if slo is not None else SloPolicy()
         self.policy_name = policy_name
-        self.arrival_name = arrival_name
-        self.arrivals = arrivals
-        self.completed = completed
-        self.failures = failures
-        self.rejected = rejected
-        self.rejections_by_reason = (
-            rejections_by_reason if rejections_by_reason is not None else {}
-        )
-        self.resident_hits = resident_hits
-        self.resident_misses = resident_misses
-        self.slo_met = slo_met
-        self.latencies = latencies if latencies is not None else []
-        self.first_arrival_s = first_arrival_s
-        self.last_arrival_s = last_arrival_s
-        self.last_completion_s = last_completion_s
-        self.peak_replicas = peak_replicas
-        self.scale_events = scale_events if scale_events is not None else []
-        self.replica_usage = replica_usage if replica_usage is not None else []
-        self.service_aggregate = service_aggregate
+        self.arrival_name = ""
+        for attr in ("arrivals", "completed", "failures", "rejected",
+                     "resident_hits", "resident_misses", "slo_met"):
+            setattr(self, attr, 0)  # every counter in the snapshot from the start
+        self.first_arrival_s: float | None = None
+        self.last_arrival_s = 0.0
+        self.last_completion_s = 0.0
+        self.peak_replicas = 0
+        self.scale_events: list[ScaleEvent] = []
+        self.replica_usage: list[ReplicaUsage] = []
+        self.service_aggregate: dict | None = None
 
     # ------------------------------------------------------------------
     # Accumulation (driven by the simulation loop).
@@ -154,8 +113,7 @@ class ClusterMetrics:
 
     def reject(self, now: float, reason: str) -> None:
         self.rejected += 1
-        self.rejections_by_reason[reason] = self.rejections_by_reason.get(reason, 0) + 1
-        self.registry.counter(f"cluster.rejected.{reason}").inc()
+        self.registry.counter(f"{REJECTED_PREFIX}{reason}").inc()
 
     def complete(
         self, now: float, latency_s: float, resident_hit: bool, ok: bool = True
@@ -169,8 +127,7 @@ class ClusterMetrics:
             self.resident_misses += 1
         if latency_s <= self.slo.slo_latency_s:
             self.slo_met += 1
-        self.latencies.append(latency_s)
-        self.registry.histogram("cluster.latency.seconds").observe(latency_s)
+        self.latency_histogram().observe(latency_s)
         self.last_completion_s = max(self.last_completion_s, now + latency_s)
 
     # ------------------------------------------------------------------
@@ -215,8 +172,20 @@ class ClusterMetrics:
         total = self.resident_hits + self.resident_misses
         return self.resident_hits / total if total else 0.0
 
+    @property
+    def rejections_by_reason(self) -> dict[str, int]:
+        """Shedding reason → count, read from the per-reason counters."""
+        return {
+            name[len(REJECTED_PREFIX):]: int(self.registry.get(name).value)
+            for name in self.registry.names()
+            if name.startswith(REJECTED_PREFIX)
+        }
+
+    def latency_histogram(self) -> Histogram:
+        return self.registry.histogram("cluster.latency.seconds")
+
     def latency_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.latencies)
+        return LatencySummary.of_histogram(self.latency_histogram())
 
     def meets_rejection_slo(self) -> bool:
         return self.rejection_rate <= self.slo.max_rejection_rate
@@ -233,7 +202,7 @@ class ClusterMetrics:
             "completed": self.completed,
             "failures": self.failures,
             "rejected": self.rejected,
-            "rejections_by_reason": dict(sorted(self.rejections_by_reason.items())),
+            "rejections_by_reason": self.rejections_by_reason,
             "rejection_rate": self.rejection_rate,
             "meets_rejection_slo": self.meets_rejection_slo(),
             "resident_hits": self.resident_hits,
@@ -255,7 +224,7 @@ class ClusterMetrics:
         latency = self.latency_summary()
         reasons = ", ".join(
             f"{reason} {count}"
-            for reason, count in sorted(self.rejections_by_reason.items())
+            for reason, count in self.rejections_by_reason.items()
         )
         lines = [
             f"cluster[{self.policy_name or 'unrouted'}"

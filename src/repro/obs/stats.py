@@ -1,17 +1,18 @@
 """Shared latency statistics: nearest-rank percentiles and summaries.
 
-The one implementation every layer reports through: the serve layer's
-``ServiceMetrics``, the fleet simulation's ``ClusterMetrics`` and the
-trace summarizer all import from here (``repro.serve.metrics`` and the
-cluster modules re-export for backward compatibility).  Keeping a
-single copy is what makes a "p99" comparable across layers — the
-nearest-rank definition below is pinned by property tests against an
-independent reference implementation (``tests/obs/test_stats.py``).
+The one definition every layer reports through.  :func:`percentile` is
+exact nearest-rank over a sample list: the autoscaler's bounded rolling
+window and the trace summarizer use it directly.  ``ServiceMetrics`` and
+``ClusterMetrics`` keep no sample lists; they summarise registry
+histograms with :meth:`LatencySummary.of_histogram`, whose quantiles
+use the same rank and are pinned to :func:`percentile` within the bucket
+error bound (``tests/obs/test_stats.py``).  Keeping a single rank
+definition is what makes a "p99" comparable across layers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 def percentile(samples: list[float], q: float) -> float:
@@ -47,11 +48,20 @@ class LatencySummary:
             max=max(samples),
         )
 
+    @classmethod
+    def of_histogram(cls, hist) -> "LatencySummary":
+        """The same summary from a :class:`repro.obs.metrics.Histogram`
+        (``None`` or empty → zeros); p50/p99 carry the bucket error
+        bound stated in :meth:`Histogram.quantile`."""
+        if hist is None or not hist.count:
+            return cls.of([])
+        return cls(
+            count=hist.count,
+            mean=hist.mean,
+            p50=hist.quantile(50),
+            p99=hist.quantile(99),
+            max=hist.max,
+        )
+
     def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "p50": self.p50,
-            "p99": self.p99,
-            "max": self.max,
-        }
+        return asdict(self)

@@ -5,19 +5,19 @@ serve a request, the number the cache is trying to shrink) and
 *simulated* cycles (what the modelled SoC would take, the number the
 paper reports).
 
-Counters live in a :class:`repro.obs.metrics.MetricsRegistry`
-(``metrics.registry``) so they merge across processes and export
-through ``repro metrics``; the attribute surface below
-(``metrics.requests += 1`` etc.) is a facade over registry counters
-and is unchanged from the pre-registry dataclass, as is the
-:meth:`ServiceMetrics.to_dict` snapshot shape.
+Everything lives in one :class:`repro.obs.metrics.MetricsRegistry`
+(``metrics.registry``), so it merges across processes and exports
+through ``--metrics-out`` and ``repro metrics``.  The attributes below
+(``metrics.requests += 1`` etc.) are a facade over registry counters,
+and every latency summary is derived from a registry histogram
+(``serve.request.wall.seconds``, ``serve.request.cycles``, and the
+per-deployment ``serve.deployment.<describe>.*`` instruments), so
+memory stays constant however many requests are recorded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..obs.metrics import MetricsRegistry, counter_property
+from ..obs.metrics import CYCLES_BOUNDS, MetricsRegistry, counter_property
 from ..obs.stats import LatencySummary, percentile
 
 __all__ = [
@@ -27,10 +27,12 @@ __all__ = [
     "percentile",
 ]
 
+DEPLOYMENT_PREFIX = "serve.deployment."
 
-@dataclass
+
 class DeploymentMetrics:
-    """Per-deployment slice of the service counters.
+    """Per-deployment slice of the service counters: a read-only view
+    of the ``serve.deployment.<name>.*`` registry instruments.
 
     Keyed by :meth:`DeploymentSpec.describe`, so mixed-mode services
     (fast and cycle-accurate tiers side by side) report each tier's
@@ -38,17 +40,32 @@ class DeploymentMetrics:
     tensors but live on different wall-clock scales.
     """
 
-    requests: int = 0
-    failures: int = 0
-    wall_seconds: float = 0.0
-    wall_latencies: list[float] = field(default_factory=list)
-    cycle_latencies: list[float] = field(default_factory=list)
+    def __init__(self, registry: MetricsRegistry, name: str):
+        self.registry = registry
+        self.prefix = f"{DEPLOYMENT_PREFIX}{name}."
+
+    def _count(self, suffix: str) -> float:
+        counter = self.registry.get(self.prefix + suffix)
+        return counter.value if counter is not None else 0
+
+    @property
+    def requests(self) -> int:
+        return int(self._count("requests"))
+
+    @property
+    def failures(self) -> int:
+        return int(self._count("failures"))
+
+    @property
+    def wall_seconds(self) -> float:
+        return float(self._count("busy.seconds"))
 
     def wall_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.wall_latencies)
+        return LatencySummary.of_histogram(
+            self.registry.get(self.prefix + "wall.seconds"))
 
     def cycle_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.cycle_latencies)
+        return LatencySummary.of_histogram(self.registry.get(self.prefix + "cycles"))
 
     def to_dict(self) -> dict:
         return {
@@ -61,7 +78,8 @@ class DeploymentMetrics:
 
 
 class ServiceMetrics:
-    """Counters accumulated across a service lifetime."""
+    """Counters and latency histograms accumulated across a service
+    lifetime, all held in ``self.registry``."""
 
     requests = counter_property("serve.requests")
     failures = counter_property("serve.failures")
@@ -81,67 +99,47 @@ class ServiceMetrics:
     # end-to-end serve() time
     elapsed_seconds = counter_property("serve.elapsed.seconds", float)
 
-    def __init__(
-        self,
-        requests: int = 0,
-        failures: int = 0,
-        batches: int = 0,
-        bundle_hits: int = 0,
-        bundle_misses: int = 0,
-        bundle_store_hits: int = 0,
-        bundle_compiles: int = 0,
-        workers_created: int = 0,
-        workers_reused: int = 0,
-        wall_seconds_total: float = 0.0,
-        elapsed_seconds: float = 0.0,
-        wall_latencies: list[float] | None = None,
-        cycle_latencies: list[float] | None = None,
-        per_deployment: dict[str, DeploymentMetrics] | None = None,
-        per_process: dict[int, dict] | None = None,
-        registry: MetricsRegistry | None = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.requests = requests
-        self.failures = failures
-        self.batches = batches
-        self.bundle_hits = bundle_hits
-        self.bundle_misses = bundle_misses
-        self.bundle_store_hits = bundle_store_hits
-        self.bundle_compiles = bundle_compiles
-        self.workers_created = workers_created
-        self.workers_reused = workers_reused
-        self.wall_seconds_total = wall_seconds_total
-        self.elapsed_seconds = elapsed_seconds
-        # Exact samples kept alongside the registry histograms: the
-        # summaries below report true nearest-rank percentiles, the
-        # histograms are what merges across processes.
-        self.wall_latencies = wall_latencies if wall_latencies is not None else []
-        self.cycle_latencies = cycle_latencies if cycle_latencies is not None else []
-        self.per_deployment = per_deployment if per_deployment is not None else {}
+    def __init__(self):
+        self.registry = MetricsRegistry()
+        for attr in ("requests", "failures", "batches", "bundle_hits",
+                     "bundle_misses", "bundle_store_hits", "bundle_compiles",
+                     "workers_created", "workers_reused", "wall_seconds_total",
+                     "elapsed_seconds"):
+            setattr(self, attr, 0)  # every counter in the snapshot from the start
         # Worker-process slot → its counters (runs, busy_seconds,
         # batches, restarts), aggregated by the serving plane after each
         # drain.  The single-process service leaves this empty.
-        self.per_process = per_process if per_process is not None else {}
+        self.per_process: dict[int, dict] = {}
 
     def record(
         self, wall_seconds: float, cycles: int, ok: bool, deployment: str | None = None
     ) -> None:
-        self.requests += 1
-        if not ok:
-            self.failures += 1
-        self.wall_latencies.append(wall_seconds)
-        self.cycle_latencies.append(float(cycles))
-        self.wall_seconds_total += wall_seconds
-        self.registry.histogram("serve.request.wall.seconds").observe(wall_seconds)
-        self.registry.histogram("serve.request.cycles").observe(float(cycles))
+        self._observe("serve.", "serve.request.", wall_seconds, cycles, ok)
         if deployment is not None:
-            slice_ = self.per_deployment.setdefault(deployment, DeploymentMetrics())
-            slice_.requests += 1
-            if not ok:
-                slice_.failures += 1
-            slice_.wall_seconds += wall_seconds
-            slice_.wall_latencies.append(wall_seconds)
-            slice_.cycle_latencies.append(float(cycles))
+            prefix = f"{DEPLOYMENT_PREFIX}{deployment}."
+            self._observe(prefix, prefix, wall_seconds, cycles, ok)
+
+    def _observe(self, counters: str, histograms: str, wall_seconds: float,
+                 cycles: int, ok: bool) -> None:
+        registry = self.registry
+        registry.counter(counters + "requests").inc(1)
+        if not ok:
+            registry.counter(counters + "failures").inc(1)
+        registry.counter(counters + "busy.seconds").inc(wall_seconds)
+        registry.histogram(histograms + "wall.seconds").observe(wall_seconds)
+        registry.histogram(histograms + "cycles", CYCLES_BOUNDS).observe(float(cycles))
+
+    @property
+    def per_deployment(self) -> dict[str, DeploymentMetrics]:
+        """Deployment name → its slice, discovered from the registry (so
+        a merged ``--metrics-out`` snapshot keeps the split)."""
+        suffix = ".requests"
+        names = [
+            metric[len(DEPLOYMENT_PREFIX):-len(suffix)]
+            for metric in self.registry.names()
+            if metric.startswith(DEPLOYMENT_PREFIX) and metric.endswith(suffix)
+        ]
+        return {name: DeploymentMetrics(self.registry, name) for name in names}
 
     def record_resolution(self, source: str) -> None:
         """Count one bundle resolution by its source: ``"memory"`` is a
@@ -175,10 +173,11 @@ class ServiceMetrics:
         return self.requests / elapsed if elapsed else 0.0
 
     def wall_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.wall_latencies)
+        return LatencySummary.of_histogram(
+            self.registry.get("serve.request.wall.seconds"))
 
     def cycle_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.cycle_latencies)
+        return LatencySummary.of_histogram(self.registry.get("serve.request.cycles"))
 
     def to_dict(self) -> dict:
         """The whole counter surface as JSON-ready data.

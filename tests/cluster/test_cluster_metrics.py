@@ -106,3 +106,32 @@ def test_aggregate_of_nothing():
     fleet = aggregate_service_metrics([])
     assert fleet["replicas"] == 0
     assert fleet["wall"]["count"] == 0
+
+
+def test_rejections_by_reason_reads_the_per_reason_counters():
+    metrics = _metrics()
+    for reason in ("queue_full", "latency_budget", "queue_full"):
+        metrics.reject(0.0, reason)
+    assert metrics.registry.counter("cluster.rejected.queue_full").value == 2
+    assert metrics.rejections_by_reason == {"latency_budget": 1, "queue_full": 2}
+    assert metrics.to_dict()["rejections_by_reason"] == {
+        "latency_budget": 1, "queue_full": 2}
+
+
+def test_fleet_latency_summary_merges_run_histograms():
+    from types import SimpleNamespace
+
+    from repro.cluster import fleet_latency_summary
+
+    runs, pooled = [], _metrics()
+    for latencies in ((0.010, 0.020), (0.500,), ()):
+        metrics = _metrics()
+        for latency in latencies:
+            metrics.complete(0.0, latency, True)
+            pooled.complete(0.0, latency, True)
+        runs.append(SimpleNamespace(metrics=metrics))
+    summary = fleet_latency_summary(runs)
+    assert summary == pooled.latency_summary()
+    assert summary.count == 3
+    assert summary.p50 == pytest.approx(0.020, rel=0.05)
+    assert summary.p99 == summary.max == 0.500

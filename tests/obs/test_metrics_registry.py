@@ -67,7 +67,7 @@ def test_quantile_reports_bucket_upper_bound_and_exact_extremes():
     for v in (2.0, 3.0, 4.0, 20.0):
         hist.observe(v)
     assert hist.quantile(50) == 10.0  # the [1, 10) bucket's upper bound
-    assert hist.quantile(100) == 100.0
+    assert hist.quantile(100) == 20.0  # rank n is the exact max
     hist.observe(5000.0)  # overflow reports the exact max
     assert hist.quantile(100) == 5000.0
     assert Histogram("empty").quantile(99) == 0.0

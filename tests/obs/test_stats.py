@@ -110,3 +110,56 @@ def test_property_monotone_in_q(samples):
     values = [percentile(samples, q) for q in range(0, 101, 5)]
     assert values == sorted(values)
     assert values[-1] == max(samples)
+
+
+# ----------------------------------------------------------------------
+# Histogram-derived quantiles vs the exact reference: the error bound
+# every serve/cluster summary carries.
+# ----------------------------------------------------------------------
+
+from repro.obs.metrics import CYCLES_BOUNDS, SECONDS_BOUNDS, Histogram  # noqa: E402
+
+_RATIO = 10 ** (1 / 48)
+
+
+def _check_quantile_bound(samples, q, bounds):
+    hist = Histogram("h", bounds=bounds)
+    for value in samples:
+        hist.observe(value)
+    exact = percentile(samples, q)
+    estimate = hist.quantile(q)
+    rank = max(1, -(-len(samples) * q // 100))  # percentile()'s rank
+    if rank in (1, len(samples)):
+        assert estimate == exact
+    else:
+        assert exact <= estimate < exact * _RATIO
+
+
+@given(st.lists(st.floats(min_value=1e-6, max_value=9.9e3), min_size=1,
+                max_size=200), _qs)
+def test_property_seconds_quantile_within_bound(samples, q):
+    _check_quantile_bound(samples, q, SECONDS_BOUNDS)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=9_900_000_000).map(float),
+                min_size=1, max_size=200), _qs)
+def test_property_cycles_quantile_within_bound(samples, q):
+    _check_quantile_bound(samples, q, CYCLES_BOUNDS)
+
+
+@given(_samples)
+def test_property_histogram_summary_extremes_are_exact(samples):
+    hist = Histogram("h", bounds=CYCLES_BOUNDS)
+    for value in samples:
+        hist.observe(value)
+    summary = LatencySummary.of_histogram(hist)
+    assert summary.count == len(samples)
+    assert summary.max == max(samples)
+    assert hist.quantile(0) == min(samples)
+    assert hist.quantile(100) == max(samples)
+    assert summary.p50 <= summary.p99 <= summary.max
+
+
+def test_summary_of_missing_or_empty_histogram_is_zero():
+    assert LatencySummary.of_histogram(None) == LatencySummary.of([])
+    assert LatencySummary.of_histogram(Histogram("h")) == LatencySummary.of([])

@@ -9,7 +9,9 @@ q=100 → maximum, single-sample series, duplicated values.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +193,82 @@ def test_service_outstanding_and_snapshot():
     assert snapshot["metrics"]["requests"] == 2
     assert snapshot["cache"]["misses"] == 1
     assert snapshot["workers"]["created"] == 1
+
+
+# ----------------------------------------------------------------------
+# Histogram-backed summaries: extremes stay exact, cycles fit their
+# bounds, the per-deployment split survives a snapshot round trip
+# (bounded memory is in tests/obs/test_metrics_memory.py).
+# ----------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden" / "service_metrics.json"
+
+
+def _two_deployments() -> ServiceMetrics:
+    """Global n=2: every p50 is rank 1 (min), every p99 rank n (max)."""
+    metrics = ServiceMetrics()
+    metrics.record(0.0041, cycles=402264, ok=True,
+                   deployment="lenet5/nv_small/int8@100MHz")
+    metrics.record(0.0123, cycles=1620431, ok=False,
+                   deployment="resnet18/nv_small/int8@100MHz+fast")
+    metrics.batches = 2
+    metrics.record_resolution("memory")
+    metrics.record_resolution("compile")
+    metrics.elapsed_seconds = 0.5
+    return metrics
+
+
+def _single_valued() -> ServiceMetrics:
+    """50 identical requests: every rank lands on the one value."""
+    metrics = ServiceMetrics()
+    for _ in range(50):
+        metrics.record(0.0047, cycles=402264, ok=True,
+                       deployment="lenet5/nv_small/int8@100MHz")
+    metrics.batches = 7
+    metrics.record_resolution("memory")
+    metrics.record_resolution("store")
+    metrics.workers_created, metrics.workers_reused = 1, 6
+    metrics.elapsed_seconds = 0.25
+    metrics.record_process(
+        0, {"runs": 50, "batches": 7, "busy_seconds": 0.235, "restarts": 0})
+    return metrics
+
+
+SCENARIOS = {
+    "two_deployments": _two_deployments,
+    "single_valued": _single_valued,
+    "empty": ServiceMetrics,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_exact_cases_match_the_exact_sample_implementation(scenario):
+    """Where a histogram summary can be exact (rank 1, rank n, one
+    distinct value) the snapshot and the rendered text are byte for
+    byte what the exact-sample-list implementation produced; the golden
+    file was recorded from that implementation."""
+    golden = json.loads(GOLDEN.read_text())[scenario]
+    metrics = SCENARIOS[scenario]()
+    assert json.dumps(metrics.to_dict(), sort_keys=True) == golden["to_dict"]
+    assert metrics.render() == golden["render"]
+
+
+def test_cycle_histogram_holds_a_lenet5_request():
+    """A lenet5 request is 402,264 cycles; the cycles histogram must
+    resolve it instead of dropping it into an overflow bucket."""
+    metrics = ServiceMetrics()
+    for cycles in (402264, 402264, 402264, 1_000_000):
+        metrics.record(0.004, cycles=cycles, ok=True)
+    hist = metrics.registry.get("serve.request.cycles")
+    assert hist.quantile(50) == pytest.approx(402264, rel=0.05)
+    assert metrics.cycle_summary().p50 == pytest.approx(402264, rel=0.05)
+    assert "serve.request.cycles: count=4 mean=551698 p50~4" in metrics.registry.render()
+
+
+def test_per_deployment_survives_a_snapshot_round_trip():
+    metrics = _two_deployments()
+    clone = ServiceMetrics()
+    clone.registry.merge_dict(json.loads(json.dumps(metrics.registry.to_dict())))
+    assert sorted(clone.per_deployment) == sorted(metrics.per_deployment)
+    assert clone.to_dict() == metrics.to_dict()
+
