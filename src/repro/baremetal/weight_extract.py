@@ -19,6 +19,7 @@ file using the loadable's memory map.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.errors import TraceError
@@ -41,37 +42,68 @@ class MemorySegment:
 
 
 def extract_initial_memory(trace: TraceLog) -> list[MemorySegment]:
-    """Reconstruct initial DRAM state from the DBB transaction order."""
-    initial: dict[int, int] = {}
-    written: set[int] = set()
+    """Reconstruct initial DRAM state from the DBB transaction order.
+
+    The bytes seen so far (written, or read as initial) are kept as a
+    sorted list of disjoint, non-touching half-open intervals, so a
+    read contributes only the parts of its range outside them and
+    memory grows with the number of intervals and initial bytes, not
+    with every address the trace touches.
+    """
+    starts: list[int] = []  # interval starts, ascending
+    ends: list[int] = []  # matching exclusive ends, ascending too
+    pieces: list[tuple[int, bytearray]] = []  # initial bytes by start
+    piece_end = -1  # end of pieces[-1], to extend streaming reads
     for txn in trace.dbb:
-        if txn.iswrite:
-            written.update(range(txn.address, txn.address + len(txn.data)))
+        begin, end = txn.address, txn.address + len(txn.data)
+        if begin == end:
             continue
-        for offset, byte in enumerate(txn.data):
-            address = txn.address + offset
-            if address in written or address in initial:
+        if not txn.iswrite:
+            inside = bisect_right(starts, begin) - 1
+            if inside >= 0 and ends[inside] >= end:
                 continue  # intermediate data / duplicate read
-            initial[address] = byte
-    return _coalesce(initial)
+            cursor, data = begin, txn.data
+            for k in range(bisect_right(ends, begin), bisect_left(starts, end)):
+                if starts[k] > cursor:
+                    gap = data[cursor - begin : starts[k] - begin]
+                    piece_end = _keep(pieces, piece_end, cursor, gap)
+                cursor = ends[k]
+            if cursor < end:
+                piece_end = _keep(pieces, piece_end, cursor, data[cursor - begin :])
+        # Mark [begin, end) seen, merging every interval it touches.
+        first = bisect_left(ends, begin)
+        last = bisect_right(starts, end)
+        if first < last:
+            begin = min(begin, starts[first])
+            end = max(end, ends[last - 1])
+        starts[first:last] = [begin]
+        ends[first:last] = [end]
+    return _coalesce(pieces)
 
 
-def _coalesce(bytes_by_address: dict[int, int]) -> list[MemorySegment]:
-    if not bytes_by_address:
-        return []
+def _keep(pieces: list[tuple[int, bytearray]], piece_end: int,
+          address: int, data: bytes) -> int:
+    """Append initial bytes at ``address``; returns the new last end."""
+    if address == piece_end:
+        pieces[-1][1].extend(data)
+    else:
+        pieces.append((address, bytearray(data)))
+    return address + len(data)
+
+
+def _coalesce(pieces: list[tuple[int, bytearray]]) -> list[MemorySegment]:
+    """Disjoint pieces → address-ordered segments, touching ones joined."""
     segments: list[MemorySegment] = []
-    addresses = sorted(bytes_by_address)
-    start = prev = addresses[0]
-    chunk = bytearray([bytes_by_address[start]])
-    for address in addresses[1:]:
-        if address == prev + 1:
-            chunk.append(bytes_by_address[address])
-        else:
-            segments.append(MemorySegment(start, bytes(chunk)))
-            start = address
-            chunk = bytearray([bytes_by_address[address]])
-        prev = address
-    segments.append(MemorySegment(start, bytes(chunk)))
+    run_start, run = 0, bytearray()
+    for address, data in sorted(pieces, key=lambda piece: piece[0]):
+        if run and address == run_start + len(run):
+            run.extend(data)
+            continue
+        if run:
+            segments.append(MemorySegment(run_start, bytes(run)))
+        run_start, run = address, data
+    if run:
+        segments.append(MemorySegment(run_start, bytes(run)))
     return segments
 
 

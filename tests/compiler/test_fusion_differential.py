@@ -100,10 +100,22 @@ def _input(model: str) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=ZOO[model]().input_shape).astype(np.float32)
 
 
-@functools.lru_cache(maxsize=None)
+#: Models whose bundles the cycle-accurate and shortcut tests reuse.
+#: The 224×224-class bundles are built per call: memoised, AlexNet's
+#: alone would hold gigabytes for the rest of the session.
+MEMO_MODELS = ("lenet5", "resnet18")
+
+
 def _bundle(model: str, config_name: str, mode: str):
-    """Compile one (model, config, fusion-mode) bundle, memoised so the
-    fast-tier and cycle-accurate tests share compilations."""
+    """One (model, config, fusion-mode) bundle, memoised for
+    ``MEMO_MODELS`` so the fast-tier and cycle-accurate tests share
+    compilations."""
+    if model in MEMO_MODELS:
+        return _memo_bundle(model, config_name, mode)
+    return _compile_bundle(model, config_name, mode)
+
+
+def _compile_bundle(model: str, config_name: str, mode: str):
     config, precision, _ = CONFIGS[config_name]
     options = CompileOptions(
         precision=precision,
@@ -123,6 +135,9 @@ def _bundle(model: str, config_name: str, mode: str):
     # vacuously compare None with None.
     bundle.fidelity = "functional"
     return bundle
+
+
+_memo_bundle = functools.lru_cache(maxsize=None)(_compile_bundle)
 
 
 def _fast_run(bundle, config_name: str, model: str):
